@@ -1,18 +1,46 @@
 (* CDCL solver, MiniSat-flavoured. The implementation notes below follow
    the usual conventions:
-   - assigns.(v): 0 = unassigned, 1 = true, -1 = false
+   - assigns.(v): 0 = unassigned, 1 = true, -1 = false; literals are
+     Lit.to_int codes
    - a clause watches its first two literals; it is registered in the
      watch list of the *negation* of each watched literal, so when a
      literal p is enqueued (made true) the clauses in watches.(p) have a
-     watched literal that just became false. *)
+     watched literal that just became false.
 
-type clause = {
-  mutable lits : int array;  (* Lit.to_int encoded *)
-  learnt : bool;
-  mutable activity : float;
-  mutable lbd : int;
-  mutable removed : bool;
-}
+   Clause arena. Every clause lives in one flat int array as a header
+   followed by its literals; a clause reference is the offset [c] of
+   its header:
+
+     arena.(c)        size, the number of literals
+     arena.(c + 1)    flags: bit 0 learnt, bit 1 removed; lbd lsl 2
+     arena.(c + 2)    activity slot, an index into [cact] (learnt only)
+     arena.(c + 3)..  the literals
+
+   Watch lists, [clauses], [learnts] and [reason] hold these offsets.
+   [reason.(v)] is -1 when [v] is unassigned or was assigned without a
+   clause (decision, assumption, root unit). An implication allocates
+   nothing and a watch visit touches one array besides the watch list.
+
+   Compaction invariant. Learnt-DB reduction marks a clause removed,
+   detaches it from both watch lists at once and counts its words as
+   wasted; the words stay until compaction. No watch entry, reason or
+   clause-list entry ever refers to a removed clause: detach is eager,
+   and a clause that is the reason of an assignment is locked against
+   deletion. Once removed clauses hold more than a fifth of the words in
+   use, [reduce_db] calls [compact]: it writes each live clause's new
+   offset into the slot word of its old header, remaps every reference
+   through it in place (every list keeps its order), then slides the
+   live clauses down and renumbers the activity slots densely.
+
+   The trajectory contract. Propagation swaps literals in place to keep
+   the watched pair at positions 0 and 1, and [reduce_db] sorts
+   the learnts newest first with an unstable sort. Those swaps, the
+   order of watch pushes and swap-removes, the eager detach and the
+   reduction order fix the order clauses are visited in, hence the
+   whole search: conflicts, decisions, propagations, models, and the
+   literal order of traced deletions and of [export]. test_sat pins the
+   search on php(8,7); blocker literals or binary watch lists would
+   reorder visits and move those numbers. *)
 
 type options = {
   use_vsids : bool;
@@ -86,32 +114,34 @@ type tracer = {
   trace_barrier : unit -> unit;
 }
 
-(* Growable clause vectors for watch lists. *)
-module Cvec = struct
-  type t = { mutable data : clause array; mutable len : int }
+(* Growable int vectors: watch lists and clause lists. *)
+module Ivec = struct
+  type t = { mutable data : int array; mutable len : int }
 
-  let dummy =
-    { lits = [||]; learnt = false; activity = 0.; lbd = 0; removed = true }
+  let create () = { data = Array.make 4 0; len = 0 }
 
-  let create () = { data = Array.make 4 dummy; len = 0 }
-
-  let push v c =
+  let push v x =
     if v.len = Array.length v.data then begin
-      let bigger = Array.make (2 * v.len) dummy in
+      let bigger = Array.make (2 * v.len) 0 in
       Array.blit v.data 0 bigger 0 v.len;
       v.data <- bigger
     end;
-    v.data.(v.len) <- c;
+    v.data.(v.len) <- x;
     v.len <- v.len + 1
 
-  let remove v c =
-    let rec find i = if i >= v.len then -1 else if v.data.(i) == c then i else find (i + 1) in
+  let remove v x =
+    let rec find i = if i >= v.len then -1 else if v.data.(i) = x then i else find (i + 1) in
     let i = find 0 in
     if i >= 0 then begin
       v.data.(i) <- v.data.(v.len - 1);
       v.len <- v.len - 1
     end
 end
+
+(* clause header layout, see the notes at the top *)
+let hdr = 3
+let f_learnt = 1
+let f_removed = 2
 
 type lastres = RSat | RUnsat | RNone
 
@@ -120,11 +150,18 @@ type t = {
   mutable nvars : int;
   mutable assigns : int array;  (* by var *)
   mutable level : int array;  (* by var *)
-  mutable reason : clause option array;  (* by var *)
+  mutable reason : int array;  (* by var: clause offset, -1 none *)
   mutable activity : float array;  (* by var *)
   mutable polarity : bool array;  (* saved phase, by var *)
   mutable seen : bool array;  (* by var, scratch *)
-  mutable watches : Cvec.t array;  (* by lit code *)
+  mutable level_stamp : int array;  (* by level, [compute_lbd] scratch *)
+  mutable lbd_epoch : int;
+  mutable watches : Ivec.t array;  (* by lit code *)
+  mutable arena : int array;  (* clause headers and literals *)
+  mutable arena_len : int;  (* words in use *)
+  mutable arena_wasted : int;  (* words held by removed clauses *)
+  mutable cact : float array;  (* learnt clause activity, by slot *)
+  mutable nslots : int;
   mutable heap : int array;  (* binary max-heap of vars *)
   mutable heap_len : int;
   mutable heap_pos : int array;  (* by var; -1 when absent *)
@@ -133,9 +170,8 @@ type t = {
   mutable trail_lim : int array;
   mutable trail_lim_len : int;
   mutable qhead : int;
-  mutable clauses : clause list;
-  mutable learnts : clause list;
-  mutable nlearnts : int;
+  clauses : Ivec.t;  (* problem clauses, oldest first *)
+  learnts : Ivec.t;  (* live learnt clauses, oldest first *)
   mutable var_inc : float;
   mutable clause_inc : float;
   mutable ok : bool;  (* false once trivially unsat *)
@@ -170,7 +206,14 @@ let create ?(options = default_options) () =
     activity = [||];
     polarity = [||];
     seen = [||];
+    level_stamp = [||];
+    lbd_epoch = 0;
     watches = [||];
+    arena = [||];
+    arena_len = 0;
+    arena_wasted = 0;
+    cact = [||];
+    nslots = 0;
     heap = [||];
     heap_len = 0;
     heap_pos = [||];
@@ -179,9 +222,8 @@ let create ?(options = default_options) () =
     trail_lim = [||];
     trail_lim_len = 0;
     qhead = 0;
-    clauses = [];
-    learnts = [];
-    nlearnts = 0;
+    clauses = Ivec.create ();
+    learnts = Ivec.create ();
     var_inc = 1.0;
     clause_inc = 1.0;
     ok = true;
@@ -215,10 +257,12 @@ let grow_array a n default =
 
 (* ---- value of literals ---- *)
 
-let lit_value t l =
+let value_in assigns l =
   (* 1 true, -1 false, 0 undef *)
-  let a = t.assigns.(l lsr 1) in
+  let a = assigns.(l lsr 1) in
   if l land 1 = 0 then a else -a
+
+let lit_value t l = value_in t.assigns l
 
 (* ---- VSIDS heap (max-heap on activity) ---- *)
 
@@ -273,7 +317,7 @@ let new_var t =
   t.nvars <- v + 1;
   t.assigns <- grow_array t.assigns t.nvars 0;
   t.level <- grow_array t.level t.nvars 0;
-  t.reason <- grow_array t.reason t.nvars None;
+  t.reason <- grow_array t.reason t.nvars (-1);
   t.activity <- grow_array t.activity t.nvars 0.0;
   t.polarity <- grow_array t.polarity t.nvars false;
   t.seen <- grow_array t.seen t.nvars false;
@@ -283,13 +327,13 @@ let new_var t =
     let old = Array.length t.watches in
     let bigger =
       Array.init (max (2 * t.nvars) (2 * old)) (fun i ->
-          if i < old then t.watches.(i) else Cvec.create ())
+          if i < old then t.watches.(i) else Ivec.create ())
     in
     t.watches <- bigger
   end;
   t.assigns.(v) <- 0;
   t.level.(v) <- 0;
-  t.reason.(v) <- None;
+  t.reason.(v) <- -1;
   t.activity.(v) <- 0.0;
   t.polarity.(v) <- t.opts.init_polarity;
   t.seen.(v) <- false;
@@ -309,10 +353,43 @@ let var_bump t v =
 
 let var_decay t = t.var_inc <- t.var_inc /. t.opts.var_decay
 
-let clause_bump t (c : clause) =
-  c.activity <- c.activity +. t.clause_inc;
-  if c.activity > 1e20 then begin
-    List.iter (fun (c : clause) -> c.activity <- c.activity *. 1e-20) t.learnts;
+(* ---- clause arena ---- *)
+
+let is_learnt t c = t.arena.(c + 1) land f_learnt <> 0
+let is_removed t c = t.arena.(c + 1) land f_removed <> 0
+let clause_lbd t c = t.arena.(c + 1) lsr 2
+let clause_activity t c = t.cact.(t.arena.(c + 2))
+
+let clause_lits t c = Array.sub t.arena (c + hdr) t.arena.(c)
+
+let alloc_clause t lits ~learnt ~lbd =
+  let n = Array.length lits in
+  let c = t.arena_len in
+  t.arena <- grow_array t.arena (c + hdr + n) 0;
+  let slot =
+    if learnt then begin
+      t.cact <- grow_array t.cact (t.nslots + 1) 0.0;
+      t.cact.(t.nslots) <- 0.0;
+      t.nslots <- t.nslots + 1;
+      t.nslots - 1
+    end
+    else 0
+  in
+  t.arena.(c) <- n;
+  t.arena.(c + 1) <- (if learnt then f_learnt else 0) lor (lbd lsl 2);
+  t.arena.(c + 2) <- slot;
+  Array.blit lits 0 t.arena (c + hdr) n;
+  t.arena_len <- c + hdr + n;
+  c
+
+let clause_bump t c =
+  let s = t.arena.(c + 2) in
+  t.cact.(s) <- t.cact.(s) +. t.clause_inc;
+  if t.cact.(s) > 1e20 then begin
+    (* slots of removed clauses are rescaled too; nothing reads them *)
+    for i = 0 to t.nslots - 1 do
+      t.cact.(i) <- t.cact.(i) *. 1e-20
+    done;
     t.clause_inc <- t.clause_inc *. 1e-20
   end
 
@@ -333,6 +410,9 @@ let enqueue t l reason =
 
 let new_decision_level t =
   t.trail_lim <- grow_array t.trail_lim (t.trail_lim_len + 1) 0;
+  (* levels are not bounded by [nvars]: an assumption that is already
+     true opens an empty level *)
+  t.level_stamp <- grow_array t.level_stamp (t.trail_lim_len + 2) 0;
   t.trail_lim.(t.trail_lim_len) <- t.trail_len;
   t.trail_lim_len <- t.trail_lim_len + 1
 
@@ -344,7 +424,7 @@ let cancel_until t lvl =
       let v = l lsr 1 in
       if t.opts.use_phase_saving then t.polarity.(v) <- l land 1 = 0;
       t.assigns.(v) <- 0;
-      t.reason.(v) <- None;
+      t.reason.(v) <- -1;
       heap_insert t v
     done;
     t.trail_len <- bound;
@@ -355,82 +435,83 @@ let cancel_until t lvl =
 (* ---- watches ---- *)
 
 let attach t c =
-  Cvec.push t.watches.(c.lits.(0) lxor 1) c;
-  Cvec.push t.watches.(c.lits.(1) lxor 1) c
+  Ivec.push t.watches.(t.arena.(c + hdr) lxor 1) c;
+  Ivec.push t.watches.(t.arena.(c + hdr + 1) lxor 1) c
 
 let detach t c =
-  Cvec.remove t.watches.(c.lits.(0) lxor 1) c;
-  Cvec.remove t.watches.(c.lits.(1) lxor 1) c
+  Ivec.remove t.watches.(t.arena.(c + hdr) lxor 1) c;
+  Ivec.remove t.watches.(t.arena.(c + hdr + 1) lxor 1) c
 
 (* ---- propagation ---- *)
 
-exception Conflict of clause
+exception Conflict of int
 
+(* Returns the conflicting clause, or -1. No clause is allocated while
+   propagating, so the arena can be hoisted. *)
 let propagate t =
+  let arena = t.arena and assigns = t.assigns in
   try
     while t.qhead < t.trail_len do
       let p = t.trail.(t.qhead) in
       t.qhead <- t.qhead + 1;
       t.n_propagations <- t.n_propagations + 1;
+      let false_lit = p lxor 1 in
       let ws = t.watches.(p) in
       let i = ref 0 in
-      while !i < ws.Cvec.len do
-        let c = ws.Cvec.data.(!i) in
-        if c.removed then begin
-          (* lazy removal *)
-          ws.Cvec.data.(!i) <- ws.Cvec.data.(ws.Cvec.len - 1);
-          ws.Cvec.len <- ws.Cvec.len - 1
-        end
+      while !i < ws.Ivec.len do
+        let c = ws.Ivec.data.(!i) in
+        let l0 = c + hdr in
+        (* Ensure the false literal is at position 1. *)
+        if arena.(l0) = false_lit then begin
+          arena.(l0) <- arena.(l0 + 1);
+          arena.(l0 + 1) <- false_lit
+        end;
+        let first = arena.(l0) in
+        if value_in assigns first = 1 then incr i (* satisfied *)
         else begin
-          let false_lit = p lxor 1 in
-          (* Ensure the false literal is at position 1. *)
-          if c.lits.(0) = false_lit then begin
-            c.lits.(0) <- c.lits.(1);
-            c.lits.(1) <- false_lit
-          end;
-          if lit_value t c.lits.(0) = 1 then incr i (* satisfied *)
+          (* Find a new literal to watch. *)
+          let stop = l0 + arena.(c) in
+          let k = ref (l0 + 2) in
+          while !k < stop && value_in assigns arena.(!k) = -1 do
+            incr k
+          done;
+          if !k < stop then begin
+            let nl = arena.(!k) in
+            arena.(l0 + 1) <- nl;
+            arena.(!k) <- false_lit;
+            Ivec.push t.watches.(nl lxor 1) c;
+            ws.Ivec.data.(!i) <- ws.Ivec.data.(ws.Ivec.len - 1);
+            ws.Ivec.len <- ws.Ivec.len - 1
+          end
+          else if value_in assigns first = -1 then begin
+            (* conflict *)
+            t.qhead <- t.trail_len;
+            raise_notrace (Conflict c)
+          end
           else begin
-            (* Find a new literal to watch. *)
-            let n = Array.length c.lits in
-            let rec find k = if k >= n then -1 else if lit_value t c.lits.(k) <> -1 then k else find (k + 1) in
-            let k = find 2 in
-            if k >= 0 then begin
-              c.lits.(1) <- c.lits.(k);
-              c.lits.(k) <- false_lit;
-              Cvec.push t.watches.(c.lits.(1) lxor 1) c;
-              ws.Cvec.data.(!i) <- ws.Cvec.data.(ws.Cvec.len - 1);
-              ws.Cvec.len <- ws.Cvec.len - 1
-            end
-            else if lit_value t c.lits.(0) = -1 then begin
-              (* conflict *)
-              t.qhead <- t.trail_len;
-              raise (Conflict c)
-            end
-            else begin
-              (* unit *)
-              enqueue t c.lits.(0) (Some c);
-              incr i
-            end
+            (* unit *)
+            enqueue t first c;
+            incr i
           end
         end
       done
     done;
-    None
-  with Conflict c -> Some c
+    -1
+  with Conflict c -> c
 
 (* ---- proof tracing ---- *)
 
-(* The callbacks receive fresh arrays: clause literal arrays are mutated
+(* The callbacks receive fresh arrays: clause literals are mutated
    later by watch reordering, so aliasing would corrupt the certificate. *)
 let trace_add t lits =
   match t.tracer with
   | None -> ()
   | Some tr -> tr.trace_add (Array.map Lit.of_int lits)
 
-let trace_delete t lits =
+let trace_delete t c =
   match t.tracer with
   | None -> ()
-  | Some tr -> tr.trace_delete (Array.map Lit.of_int lits)
+  | Some tr -> tr.trace_delete (Array.map Lit.of_int (clause_lits t c))
 
 let trace_barrier t =
   match t.tracer with None -> () | Some tr -> tr.trace_barrier ()
@@ -466,26 +547,18 @@ let add_clause t lits =
         | [] ->
             trace_add t [||];
             t.ok <- false
-        | [ l ] -> (
+        | [ l ] ->
             if simplified then trace_add t [| l |];
-            enqueue t l None;
-            match propagate t with
-            | None -> ()
-            | Some _ ->
-                trace_add t [||];
-                t.ok <- false)
+            enqueue t l (-1);
+            if propagate t >= 0 then begin
+              trace_add t [||];
+              t.ok <- false
+            end
         | _ ->
-            if simplified then trace_add t (Array.of_list lits);
-            let c =
-              {
-                lits = Array.of_list lits;
-                learnt = false;
-                activity = 0.0;
-                lbd = 0;
-                removed = false;
-              }
-            in
-            t.clauses <- c :: t.clauses;
+            let lits = Array.of_list lits in
+            if simplified then trace_add t lits;
+            let c = alloc_clause t lits ~learnt:false ~lbd:0 in
+            Ivec.push t.clauses c;
             attach t c
     end
   end
@@ -493,14 +566,23 @@ let add_clause t lits =
 (* ---- conflict analysis ---- *)
 
 let compute_lbd t lits =
-  let levels = Hashtbl.create 8 in
-  Array.iter (fun l -> Hashtbl.replace levels t.level.(l lsr 1) ()) lits;
-  Hashtbl.length levels
+  (* distinct decision levels, counted with a per-call stamp *)
+  t.lbd_epoch <- t.lbd_epoch + 1;
+  let epoch = t.lbd_epoch and n = ref 0 in
+  for i = 0 to Array.length lits - 1 do
+    let lv = t.level.(lits.(i) lsr 1) in
+    if t.level_stamp.(lv) <> epoch then begin
+      t.level_stamp.(lv) <- epoch;
+      incr n
+    end
+  done;
+  !n
 
 (* Is l redundant w.r.t. the current learnt clause (all its reason
    antecedents eventually hit seen literals)? On failure, the marks
    added during this check are undone to keep later checks sound. *)
 let lit_redundant t l abstract_levels to_clear =
+  let arena = t.arena in
   let stack = ref [ l ] in
   let local_marks = ref [] in
   let ok = ref true in
@@ -509,29 +591,29 @@ let lit_redundant t l abstract_levels to_clear =
        let p =
          match !stack with x :: rest -> stack := rest; x | [] -> assert false
        in
-       match t.reason.(p lsr 1) with
-       | None ->
-           ok := false;
-           raise Exit
-       | Some c ->
-           Array.iter
-             (fun q ->
-               let v = q lsr 1 in
-               if (not t.seen.(v)) && t.level.(v) > 0 then begin
-                 if
-                   t.reason.(v) <> None
-                   && abstract_levels land (1 lsl (t.level.(v) land 31)) <> 0
-                 then begin
-                   t.seen.(v) <- true;
-                   local_marks := v :: !local_marks;
-                   stack := q :: !stack
-                 end
-                 else begin
-                   ok := false;
-                   raise Exit
-                 end
-               end)
-             c.lits
+       let c = t.reason.(p lsr 1) in
+       if c < 0 then begin
+         ok := false;
+         raise Exit
+       end;
+       for k = c + hdr to c + hdr + arena.(c) - 1 do
+         let q = arena.(k) in
+         let v = q lsr 1 in
+         if (not t.seen.(v)) && t.level.(v) > 0 then begin
+           if
+             t.reason.(v) >= 0
+             && abstract_levels land (1 lsl (t.level.(v) land 31)) <> 0
+           then begin
+             t.seen.(v) <- true;
+             local_marks := v :: !local_marks;
+             stack := q :: !stack
+           end
+           else begin
+             ok := false;
+             raise Exit
+           end
+         end
+       done
      done
    with Exit -> ());
   if !ok then to_clear := !local_marks @ !to_clear
@@ -540,31 +622,31 @@ let lit_redundant t l abstract_levels to_clear =
 
 let analyze t confl =
   (* returns (learnt lits array with UIP first, backtrack level, lbd) *)
+  let arena = t.arena in
   let learnt = ref [] in
   let path_c = ref 0 in
   let p = ref (-1) in
   let index = ref (t.trail_len - 1) in
-  let confl = ref (Some confl) in
+  let confl = ref confl in
   let to_clear = ref [] in
   let continue_loop = ref true in
   while !continue_loop do
-    (match !confl with
-    | None -> assert false
-    | Some c ->
-        if c.learnt then clause_bump t c;
-        Array.iter
-          (fun q ->
-            if q <> !p then begin
-              let v = q lsr 1 in
-              if (not t.seen.(v)) && t.level.(v) > 0 then begin
-                var_bump t v;
-                t.seen.(v) <- true;
-                to_clear := v :: !to_clear;
-                if t.level.(v) >= decision_level t then incr path_c
-                else learnt := q :: !learnt
-              end
-            end)
-          c.lits);
+    let c = !confl in
+    assert (c >= 0);
+    if is_learnt t c then clause_bump t c;
+    for k = c + hdr to c + hdr + arena.(c) - 1 do
+      let q = arena.(k) in
+      if q <> !p then begin
+        let v = q lsr 1 in
+        if (not t.seen.(v)) && t.level.(v) > 0 then begin
+          var_bump t v;
+          t.seen.(v) <- true;
+          to_clear := v :: !to_clear;
+          if t.level.(v) >= decision_level t then incr path_c
+          else learnt := q :: !learnt
+        end
+      end
+    done;
     (* next literal to expand *)
     while not t.seen.(t.trail.(!index) lsr 1) do
       decr index
@@ -588,7 +670,7 @@ let analyze t confl =
       in
       List.filter
         (fun q ->
-          t.reason.(q lsr 1) = None
+          t.reason.(q lsr 1) < 0
           || not (lit_redundant t q abstract_levels to_clear))
         !learnt
     end
@@ -617,61 +699,135 @@ let analyze t confl =
 (* Final conflict analysis: [failed] is an assumption literal found
    false. Returns the subset of assumption literals responsible (the
    decisions reachable in the reason graph from [failed]), including
-   [failed] itself. *)
+   [failed] itself. Marks go in [t.seen], which is all false between
+   analyses. *)
 let analyze_final t failed =
   let core = ref [ failed ] in
   if decision_level t > 0 then begin
-    let seen = Array.make t.nvars false in
+    let arena = t.arena and seen = t.seen in
     seen.(failed lsr 1) <- true;
     for i = t.trail_len - 1 downto t.trail_lim.(0) do
       let q = t.trail.(i) in
       let v = q lsr 1 in
       if seen.(v) then begin
-        (match t.reason.(v) with
-        | None ->
-            (* a decision at level >= 1 under assumptions is an
-               assumption; it was enqueued with its own polarity *)
-            if t.level.(v) > 0 && q <> failed then core := q :: !core
-        | Some c ->
-            Array.iter (fun r -> if r <> q then seen.(r lsr 1) <- true) c.lits);
+        let c = t.reason.(v) in
+        if c < 0 then begin
+          (* a decision at level >= 1 under assumptions is an
+             assumption; it was enqueued with its own polarity *)
+          if t.level.(v) > 0 && q <> failed then core := q :: !core
+        end
+        else
+          for k = c + hdr to c + hdr + arena.(c) - 1 do
+            let r = arena.(k) in
+            if r <> q then seen.(r lsr 1) <- true
+          done;
         seen.(v) <- false
       end
+    done;
+    (* every mark is on an assigned variable; those below the first
+       decision were not visited above *)
+    for i = 0 to t.trail_lim.(0) - 1 do
+      seen.(t.trail.(i) lsr 1) <- false
     done
   end;
   !core
 
 (* ---- learnt DB reduction ---- *)
 
+let m_compactions = Obs.Metrics.counter "sat.compactions"
+
+(* Relocate the live clauses to the front of the arena; see the
+   compaction invariant at the top. *)
+let compact t =
+  let a = t.arena in
+  (* pass 1: forwarding offsets into the old slot words, activities to
+     dense slots (slots rise with offsets, so this moves them down) *)
+  let o = ref 0 and dst = ref 0 and slot = ref 0 in
+  while !o < t.arena_len do
+    let size = a.(!o) and flags = a.(!o + 1) in
+    if flags land f_removed = 0 then begin
+      if flags land f_learnt <> 0 then begin
+        t.cact.(!slot) <- t.cact.(a.(!o + 2));
+        incr slot
+      end;
+      a.(!o + 2) <- !dst;
+      dst := !dst + hdr + size
+    end;
+    o := !o + hdr + size
+  done;
+  (* pass 2: remap every reference in place *)
+  let remap (v : Ivec.t) =
+    for i = 0 to v.len - 1 do
+      v.data.(i) <- a.(v.data.(i) + 2)
+    done
+  in
+  Array.iter remap t.watches;
+  remap t.clauses;
+  remap t.learnts;
+  for v = 0 to t.nvars - 1 do
+    let r = t.reason.(v) in
+    if r >= 0 then t.reason.(v) <- a.(r + 2)
+  done;
+  (* pass 3: slide down; a clause's copy ends at or before the next
+     clause's old header, so no unread header is overwritten *)
+  let o = ref 0 and slot = ref 0 in
+  while !o < t.arena_len do
+    let size = a.(!o) and flags = a.(!o + 1) in
+    if flags land f_removed = 0 then begin
+      let d = a.(!o + 2) in
+      Array.blit a !o a d (hdr + size);
+      a.(d + 2) <-
+        (if flags land f_learnt <> 0 then begin
+           incr slot;
+           !slot - 1
+         end
+         else 0)
+    end;
+    o := !o + hdr + size
+  done;
+  t.arena_len <- !dst;
+  t.arena_wasted <- 0;
+  t.nslots <- !slot;
+  Obs.Metrics.incr m_compactions
+
+let locked t c =
+  let l = t.arena.(c + hdr) in
+  lit_value t l = 1 && t.reason.(l lsr 1) = c
+
 let reduce_db t =
   let cmp a b =
     (* worse first: higher lbd, then lower activity *)
-    if a.lbd <> b.lbd then Stdlib.compare b.lbd a.lbd
-    else Stdlib.compare a.activity b.activity
+    let la = clause_lbd t a and lb = clause_lbd t b in
+    if la <> lb then Stdlib.compare lb la
+    else Stdlib.compare (clause_activity t a) (clause_activity t b)
   in
-  let arr = Array.of_list t.learnts in
+  (* sorted newest first: the sort is unstable, its input order counts *)
+  let learnts = t.learnts in
+  let n = learnts.len in
+  let arr = Array.init n (fun i -> learnts.data.(n - 1 - i)) in
   Array.sort cmp arr;
-  let n = Array.length arr in
-  let locked c =
-    Array.length c.lits > 0
-    &&
-    let l = c.lits.(0) in
-    lit_value t l = 1
-    && (match t.reason.(l lsr 1) with Some r -> r == c | None -> false)
-  in
   let removed = ref 0 in
   Array.iteri
     (fun i c ->
-      if i < n / 2 && c.lbd > 2 && not (locked c) then begin
-        trace_delete t c.lits;
-        c.removed <- true;
-        (* watches cleaned lazily; detach eagerly to keep lists short *)
+      if i < n / 2 && clause_lbd t c > 2 && not (locked t c) then begin
+        trace_delete t c;
+        t.arena.(c + 1) <- t.arena.(c + 1) lor f_removed;
+        t.arena_wasted <- t.arena_wasted + hdr + t.arena.(c);
         detach t c;
         incr removed
       end)
     arr;
-  t.learnts <- List.filter (fun c -> not c.removed) t.learnts;
-  t.nlearnts <- t.nlearnts - !removed;
-  t.n_deleted <- t.n_deleted + !removed
+  let kept = ref 0 in
+  for i = 0 to n - 1 do
+    let c = learnts.data.(i) in
+    if not (is_removed t c) then begin
+      learnts.data.(!kept) <- c;
+      incr kept
+    end
+  done;
+  learnts.len <- !kept;
+  t.n_deleted <- t.n_deleted + !removed;
+  if 5 * t.arena_wasted > t.arena_len then compact t
 
 (* ---- decisions ---- *)
 
@@ -739,86 +895,83 @@ let search t ~assumptions ~conflict_budget =
   let max_learnts =
     max 1000
       (int_of_float
-         (t.opts.max_learnts_factor *. float_of_int (List.length t.clauses)))
+         (t.opts.max_learnts_factor *. float_of_int t.clauses.Ivec.len))
   in
   let conflicts_here = ref 0 in
   let result = ref None in
   (try
      while !result = None do
        check_terminate t;
-       match propagate t with
-       | Some confl ->
-           t.n_conflicts <- t.n_conflicts + 1;
-           incr conflicts_here;
-           if decision_level t = 0 then begin
-             trace_add t [||];
-             t.ok <- false;
-             t.conflict_core <- [];
-             result := Some Unsat
+       let confl = propagate t in
+       if confl >= 0 then begin
+         t.n_conflicts <- t.n_conflicts + 1;
+         incr conflicts_here;
+         if decision_level t = 0 then begin
+           trace_add t [||];
+           t.ok <- false;
+           t.conflict_core <- [];
+           result := Some Unsat
+         end
+         else begin
+           let lits, bt, lbd = analyze t confl in
+           trace_add t lits;
+           cancel_until t bt;
+           (if Array.length lits = 1 then enqueue t lits.(0) (-1)
+            else begin
+              let c = alloc_clause t lits ~learnt:true ~lbd in
+              Ivec.push t.learnts c;
+              t.n_learnt_total <- t.n_learnt_total + 1;
+              clause_bump t c;
+              attach t c;
+              enqueue t lits.(0) c
+            end);
+           var_decay t;
+           clause_decay t
+         end
+       end
+       else if
+         t.opts.use_restarts
+         && conflict_budget >= 0
+         && !conflicts_here >= conflict_budget
+       then begin
+         (* restart *)
+         cancel_until t 0;
+         t.n_restarts <- t.n_restarts + 1;
+         trace_barrier t;
+         raise Exit
+       end
+       else begin
+         if t.learnts.Ivec.len >= max_learnts then begin
+           reduce_db t;
+           trace_barrier t
+         end;
+         (* assumption handling / decision *)
+         let next = ref (-2) in
+         while !next = -2 do
+           if decision_level t < Array.length assumptions then begin
+             let p = assumptions.(decision_level t) in
+             let pv = lit_value t p in
+             if pv = 1 then new_decision_level t (* already satisfied *)
+             else if pv = -1 then begin
+               t.conflict_core <- analyze_final t p;
+               result := Some Unsat;
+               raise Found_unsat
+             end
+             else next := p
            end
            else begin
-             let lits, bt, lbd = analyze t confl in
-             trace_add t lits;
-             cancel_until t bt;
-             (if Array.length lits = 1 then enqueue t lits.(0) None
-              else begin
-                let c =
-                  { lits; learnt = true; activity = 0.0; lbd; removed = false }
-                in
-                t.learnts <- c :: t.learnts;
-                t.nlearnts <- t.nlearnts + 1;
-                t.n_learnt_total <- t.n_learnt_total + 1;
-                clause_bump t c;
-                attach t c;
-                enqueue t lits.(0) (Some c)
-              end);
-             var_decay t;
-             clause_decay t
+             let v = pick_branch_var t in
+             if v < 0 then begin
+               result := Some Sat;
+               raise Found_unsat (* exit loops; result already set *)
+             end
+             else next := (2 * v) + if t.polarity.(v) then 0 else 1
            end
-       | None ->
-           if
-             t.opts.use_restarts
-             && conflict_budget >= 0
-             && !conflicts_here >= conflict_budget
-           then begin
-             (* restart *)
-             cancel_until t 0;
-             t.n_restarts <- t.n_restarts + 1;
-             trace_barrier t;
-             raise Exit
-           end
-           else begin
-             if t.nlearnts >= max_learnts then begin
-               reduce_db t;
-               trace_barrier t
-             end;
-             (* assumption handling / decision *)
-             let next = ref (-2) in
-             while !next = -2 do
-               if decision_level t < List.length assumptions then begin
-                 let p = List.nth assumptions (decision_level t) in
-                 let pv = lit_value t (Lit.to_int p) in
-                 if pv = 1 then new_decision_level t (* already satisfied *)
-                 else if pv = -1 then begin
-                   t.conflict_core <- analyze_final t (Lit.to_int p);
-                   result := Some Unsat;
-                   raise Found_unsat
-                 end
-                 else next := Lit.to_int p
-               end
-               else begin
-                 let v = pick_branch_var t in
-                 if v < 0 then begin
-                   result := Some Sat;
-                   raise Found_unsat (* exit loops; result already set *)
-                 end
-                 else next := (2 * v) + if t.polarity.(v) then 0 else 1
-               end
-             done;
-             t.n_decisions <- t.n_decisions + 1;
-             new_decision_level t;
-             enqueue t !next None
-           end
+         done;
+         t.n_decisions <- t.n_decisions + 1;
+         new_decision_level t;
+         enqueue t !next (-1)
+       end
      done;
      !result
    with
@@ -854,6 +1007,7 @@ let solve_bounded_core ?(assumptions = []) ?(budget = no_budget) t =
     cancel_until t 0;
     t.conflict_core <- [];
     set_limits t budget;
+    let assumptions = Array.of_list (List.map Lit.to_int assumptions) in
     let rec loop restarts =
       let budget =
         if t.opts.use_restarts then
@@ -959,18 +1113,23 @@ let export t =
     List.init t.trail_len (fun i -> [ Lit.of_int t.trail.(i) ])
   in
   let clauses =
-    List.rev_map
-      (fun c -> Array.to_list (Array.map Lit.of_int c.lits))
-      t.clauses
+    if not t.ok then [ [] ]
+    else begin
+      let acc = ref [] in
+      for i = t.clauses.Ivec.len - 1 downto 0 do
+        let c = t.clauses.Ivec.data.(i) in
+        acc := Array.to_list (Array.map Lit.of_int (clause_lits t c)) :: !acc
+      done;
+      !acc
+    end
   in
-  let clauses = if t.ok then clauses else [ [] ] in
-  (t.nvars, List.rev_append (List.rev units) clauses)
+  (t.nvars, units @ clauses)
 
 let nclauses t =
   (* same view of the problem as [export]: original clauses plus the
      root-level trail as units, learnt clauses excluded *)
   if decision_level t > 0 then cancel_until t 0;
-  List.length t.clauses + t.trail_len
+  t.clauses.Ivec.len + t.trail_len
 
 let value t l =
   if t.last_result <> RSat then invalid_arg "Solver.value: last result not Sat";

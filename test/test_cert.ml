@@ -118,6 +118,87 @@ let test_rup_under_assumptions () =
   | Ok _ -> Alcotest.fail "accepted a proof of a satisfiable formula"
   | Error _ -> ()
 
+(* php(8,7) with every clause guarded by an activation literal [act]
+   (the clause or not-act), solved under [act]: long enough to reach
+   learnt-clause deletion and arena compaction, which no smaller
+   instance here does. One problem clause is added between two solve
+   calls, behind learnt clauses that later get deleted, so compaction
+   has to move it. The solver then stays in use and is exported, so
+   compaction must have left every clause and reference intact. *)
+let test_deletion_and_compaction () =
+  let nv, base = pigeonhole 8 7 in
+  let act = lit nv true in
+  let nvars = nv + 1 in
+  let guard c = L.negate act :: c in
+  let late = guard [ L.negate (lit 0 true); L.negate (lit 7 true) ] in
+  let clauses = List.map guard base @ [ late ] in
+  let compactions = Obs.Metrics.counter "sat.compactions" in
+  let s = S.create () in
+  let p = Proof.create () in
+  S.set_tracer s (Some (Proof.tracer p));
+  for _ = 1 to nvars do
+    ignore (S.new_var s)
+  done;
+  List.iter (fun c -> S.add_clause s (guard c)) base;
+  let c0 = Obs.Metrics.counter_value compactions in
+  (match
+     S.solve_bounded ~assumptions:[ act ] ~budget:(S.conflict_budget 2000) s
+   with
+  | S.Unknown _ -> ()
+  | S.Solved _ -> Alcotest.fail "php(8,7) decided within 2000 conflicts");
+  let c1 = Obs.Metrics.counter_value compactions in
+  Alcotest.(check bool) "compacted before the late clause" true (c1 > c0);
+  S.add_clause s late;
+  Alcotest.(check int) "every clause stored, no root units"
+    (List.length clauses) (S.nclauses s);
+  Alcotest.(check bool) "unsat under act" true
+    (S.solve ~assumptions:[ act ] s = S.Unsat);
+  Alcotest.(check bool) "compacted after the late clause" true
+    (Obs.Metrics.counter_value compactions > c1);
+  let steps = Proof.steps p in
+  let deletes =
+    List.length
+      (List.filter (function Proof.Delete _ -> true | _ -> false) steps)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "proof deletes clauses (%d)" deletes)
+    true (deletes >= 1);
+  (match Rup.check ~assumptions:[ act ] ~nvars ~clauses ~proof:steps () with
+  | Ok summary ->
+      Alcotest.(check int) "checker saw every deletion" deletes
+        summary.Rup.deletes
+  | Error msg -> Alcotest.fail ("certificate with deletions rejected: " ^ msg));
+  (* the export holds exactly the problem clauses, in order *)
+  let norm c = List.sort_uniq L.compare c in
+  let _, exported = S.export s in
+  Alcotest.(check bool) "export is the problem" true
+    (List.map norm (List.filter (fun c -> List.length c > 1) exported)
+    = List.map norm clauses);
+  (* incremental re-solves must agree with a fresh solver on the export *)
+  let fresh_verdict () =
+    let nv', cls = S.export s in
+    let f = S.create () in
+    for _ = 1 to nv' do
+      ignore (S.new_var f)
+    done;
+    List.iter (S.add_clause f) cls;
+    S.solve f
+  in
+  Alcotest.(check bool) "sat without act" true (S.solve s = S.Sat);
+  Alcotest.(check bool) "model satisfies every clause" true
+    (List.for_all (List.exists (S.value s)) clauses);
+  Alcotest.(check bool) "fresh solver agrees (sat)" true
+    (fresh_verdict () = S.Sat);
+  S.add_clause s [ act ];
+  Alcotest.(check bool) "unsat after unit act" true (S.solve s = S.Unsat);
+  Alcotest.(check bool) "fresh solver agrees (unsat)" true
+    (fresh_verdict () = S.Unsat);
+  match
+    Rup.check ~nvars ~clauses:(clauses @ [ [ act ] ]) ~proof:(Proof.steps p) ()
+  with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.fail ("incremental certificate rejected: " ^ msg)
+
 let test_drup_roundtrip () =
   let nvars, clauses = pigeonhole 5 4 in
   let _, p, _ = solve_traced nvars clauses in
@@ -655,6 +736,8 @@ let () =
             test_rup_rejects_corruptions;
           Alcotest.test_case "unsat under assumptions" `Quick
             test_rup_under_assumptions;
+          Alcotest.test_case "deletion and compaction" `Quick
+            test_deletion_and_compaction;
           Alcotest.test_case "drup text roundtrip" `Quick test_drup_roundtrip;
           Alcotest.test_case "streaming drup reader" `Quick
             test_streaming_parse_drup;

@@ -176,6 +176,21 @@ let test_unsat_core () =
     "irrelevant assumption not in core" true
     (not (List.mem (lit 3 true) core))
 
+(* Every assumption that is already true opens an empty decision level,
+   so repeated assumptions push the level past the variable count. *)
+let test_repeated_assumptions () =
+  let s = mk_solver 3 in
+  let a = lit 0 true and b = lit 1 true in
+  Solver.add_clause s [ lit 1 false; lit 2 true ];
+  Solver.add_clause s [ lit 1 false; lit 2 false ];
+  let assumptions = List.init 20 (fun _ -> a) @ [ b ] in
+  Alcotest.(check bool)
+    "unsat under 20 x a, b" true
+    (Solver.solve ~assumptions s = Solver.Unsat);
+  Alcotest.(check bool)
+    "core is [b]" true
+    (Solver.unsat_assumptions s = [ b ])
+
 let test_incremental () =
   let s = mk_solver 3 in
   Solver.add_clause s [ lit 0 true; lit 1 true ];
@@ -310,6 +325,36 @@ let test_stats_populated () =
   let st = Solver.stats s in
   Alcotest.(check bool) "conflicts > 0" true (st.Solver.conflicts > 0);
   Alcotest.(check bool) "propagations > 0" true (st.Solver.propagations > 0)
+
+(* The search trajectory is a contract: how clauses are stored, the
+   order watch lists are visited and rewritten, and the order of
+   learnt-DB reduction decide every step of the search. These counters
+   were recorded on php(8,7); a storage change that keeps them is the
+   same search, one that moves them is not. *)
+let test_trajectory_pinned () =
+  let d = Solver.default_options in
+  List.iter
+    (fun (name, options, expected) ->
+      let s = mk_solver ~options (8 * 7) in
+      pigeonhole s 8 7;
+      Alcotest.(check bool)
+        (Printf.sprintf "php(8,7) unsat under %s" name)
+        true
+        (Solver.solve s = Solver.Unsat);
+      Alcotest.(check string)
+        (Printf.sprintf "php(8,7) trajectory under %s" name)
+        expected
+        (Format.asprintf "%a" Solver.pp_stats (Solver.stats s)))
+    [
+      ( "default",
+        d,
+        "conflicts=7377 decisions=8755 propagations=97651 restarts=30 \
+         learnt=7371 deleted=6458" );
+      ( "no_minimize",
+        { d with Solver.use_minimization = false },
+        "conflicts=8824 decisions=10628 propagations=124990 restarts=37 \
+         learnt=8818 deleted=7961" );
+    ]
 
 (* ---- randomised cross-check ---- *)
 
@@ -461,6 +506,8 @@ let () =
           Alcotest.test_case "pigeonhole sat" `Quick test_pigeonhole_sat;
           Alcotest.test_case "assumptions" `Quick test_assumptions;
           Alcotest.test_case "unsat core" `Quick test_unsat_core;
+          Alcotest.test_case "repeated assumptions" `Quick
+            test_repeated_assumptions;
           Alcotest.test_case "incremental solving" `Quick test_incremental;
           Alcotest.test_case "new vars after solve" `Quick
             test_new_vars_after_solve;
@@ -471,6 +518,7 @@ let () =
           Alcotest.test_case "dimacs parse_file fd cleanup" `Quick
             test_dimacs_parse_file_fd_cleanup;
           Alcotest.test_case "stats populated" `Quick test_stats_populated;
+          Alcotest.test_case "trajectory pinned" `Quick test_trajectory_pinned;
         ] );
       ( "budget",
         [
