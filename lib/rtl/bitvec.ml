@@ -44,17 +44,8 @@ let sub a b =
 
 let mul a b =
   let w = same_width a b in
-  (* Split to avoid overflow for wide vectors: (ah*2^h + al)(bh*2^h + bl) *)
-  if w <= 31 then { w; v = a.v * b.v land mask w }
-  else begin
-    let h = w / 2 in
-    let mh = mask h in
-    let al = a.v land mh and ah = a.v lsr h in
-    let bl = b.v land mh and bh = b.v lsr h in
-    let low = al * bl in
-    let mid = ((al * bh) + (ah * bl)) lsl h in
-    { w; v = (low + mid) land mask w }
-  end
+  (* Native products wrap modulo 2^Sys.int_size, a multiple of 2^w. *)
+  { w; v = a.v * b.v land mask w }
 
 let neg a = { w = a.w; v = -a.v land mask a.w }
 

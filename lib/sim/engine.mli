@@ -7,7 +7,13 @@ open Rtl
     the cycle counter. Registers start from their declared reset value
     (zero when absent); memories from their initial contents (zeros when
     absent); parameters must be set before the first evaluation and stay
-    fixed. *)
+    fixed.
+
+    The first evaluation ({!step}, {!peek_output}) compiles the
+    netlist's next states, write ports and outputs into one levelised
+    program over int slots. Each cycle then settles that program at most
+    once: {!set_input}, {!set_param}, the pokes and {!step} mark it
+    stale, and the next evaluation re-runs it. *)
 
 type t
 
@@ -26,7 +32,8 @@ val set_input_int : t -> string -> int -> unit
 
 val peek : t -> Expr.t -> Bitvec.t
 (** Evaluate an arbitrary expression against the current cycle's state
-    and inputs. *)
+    and inputs. A netlist node is read from its slot; any other
+    expression goes through {!Eval.eval}. *)
 
 val peek_output : t -> string -> Bitvec.t
 (** Evaluate a named netlist output. *)
@@ -38,6 +45,10 @@ val poke_reg : t -> string -> Bitvec.t -> unit
 (** Force a register's current value (testing / state injection). *)
 
 val poke_mem : t -> string -> int -> Bitvec.t -> unit
+(** [poke_mem t name i v] forces word [i] of a memory. Raises
+    [Not_found] for unknown names and
+    [Invalid_argument "Engine.poke_mem NAME: width mismatch"] when [v]
+    is not the memory's data width. *)
 
 val step : t -> unit
 (** Commit one clock edge. *)

@@ -31,7 +31,7 @@ let binop_fn = function
   | Expr.Lshr -> Bitvec.lshr
   | Expr.Ashr -> Bitvec.ashr
 
-let evaluator env =
+let eval env e =
   let memo : (int, Bitvec.t) Hashtbl.t = Hashtbl.create 256 in
   let rec go e =
     match Hashtbl.find_opt memo (Expr.tag e) with
@@ -56,6 +56,4 @@ let evaluator env =
         Hashtbl.add memo (Expr.tag e) v;
         v
   in
-  go
-
-let eval env e = evaluator env e
+  go e

@@ -1,10 +1,13 @@
 open Rtl
 
-(** Concrete evaluation of expressions against an environment.
+(** Reference evaluation of expressions against an environment.
 
-    Evaluation is memoised per call on hash-cons tags, so shared
-    sub-expressions are computed once. Out-of-range memory reads
-    (address [>= depth]) evaluate to zero. *)
+    A direct recursive reading of the {!Rtl.Bitvec} semantics: the
+    oracle the bit-blaster and the compiled {!Engine} are tested
+    against, and the engine's fallback for expressions that are not
+    netlist nodes. Evaluation is memoised per call on hash-cons tags,
+    so shared sub-expressions are computed once. Out-of-range memory
+    reads (address [>= depth]) evaluate to zero. *)
 
 type env = {
   lookup_input : Expr.signal -> Bitvec.t;
@@ -15,9 +18,3 @@ type env = {
 
 val eval : env -> Expr.t -> Bitvec.t
 (** Evaluate one expression (fresh memo table). *)
-
-val evaluator : env -> Expr.t -> Bitvec.t
-(** [evaluator env] returns an evaluation function sharing one memo
-    table across calls; use for evaluating many expressions against the
-    same environment. The memo table is never invalidated: discard the
-    evaluator when the environment changes. *)

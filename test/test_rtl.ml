@@ -33,7 +33,17 @@ let test_bv_mul_wide () =
          (Int64.mul (Int64.of_int 0xdeadbeef) (Int64.of_int 0x12345678))
          0xffffffffL)
   in
-  Alcotest.(check int) "32-bit mul" expected (Bitvec.to_int (Bitvec.mul a b))
+  Alcotest.(check int) "32-bit mul" expected (Bitvec.to_int (Bitvec.mul a b));
+  (* at odd widths above 31 the product of the high halves reaches the
+     top bit *)
+  let x = bv 33 (1 lsl 16) in
+  Alcotest.(check int) "33-bit mul" (1 lsl 32) (Bitvec.to_int (Bitvec.mul x x));
+  let a = 0x1bad_beef_1234_567 and b = 0x1357_9bdf_2468_ace in
+  let expected =
+    Int64.(to_int (logand (mul (of_int a) (of_int b)) (sub (shift_left 1L 61) 1L)))
+  in
+  Alcotest.(check int) "61-bit mul" expected
+    (Bitvec.to_int (Bitvec.mul (bv 61 a) (bv 61 b)))
 
 let test_bv_shifts () =
   Alcotest.(check int) "shl" 0b100 (Bitvec.to_int (Bitvec.shl (bv 8 1) (bv 8 2)));
